@@ -27,6 +27,25 @@ _NUMBER_LETTER = re.compile(
 )
 
 
+def format_for_language(formats: dict, language: str | None) -> str | None:
+    """The place_name template for `language` from a {code: template}
+    dict (geocoder_format_{lang} / carmen:format_{lang}): the exact code,
+    then the code case-insensitively, then its primary language
+    (en-XX → en); otherwise formats["default"] (None when absent). No
+    cross-language fallback applies — unlike display text, format_de
+    never serves an en request (address-format.test.js:56-114)."""
+    if language:
+        lang = str(language).replace("-", "_")
+        cands = {k: v for k, v in formats.items() if k != "default"}
+        if lang in cands:
+            return cands[lang]
+        folded = {k.replace("-", "_").lower(): v for k, v in cands.items()}
+        for key in (lang.lower(), lang.split("_")[0].lower()):
+            if key in folded:
+                return folded[key]
+    return formats.get("default")
+
+
 def whitespace_hypothesis(tokens: list[str]) -> list[str] | None:
     """lib/util/whitespace.js:6-28 — split letter/number run-ons."""
     wsm = whitespace_hypothesis_map(tokens)
@@ -183,11 +202,7 @@ class GeocoderConfig:
     def render_place_name(self, name: str, context_names: list[str],
                           address: str | None = None,
                           language: str | None = None) -> str:
-        fmt = None
-        if language:
-            fmt = self.place_formats.get(language)
-            if fmt is None and "_" in language:
-                fmt = self.place_formats.get(language.split("_")[0])
+        fmt = format_for_language(self.place_formats, language)
         if fmt is None:
             fmt = self.place_format or "{address} {name}, {context}"
         from .util.helpers import render_template

@@ -35,6 +35,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .. import constants
+from ..config import format_for_language
 from ..geom.cells import hex_cell, s2_cell
 from ..geom.ops import dist_point_to_geom_miles, nearest_point_on_multiline, point_in_geom
 from ..geom.tile import lonlat_to_tile
@@ -2073,9 +2074,12 @@ def render_feature_format(index, feature, display, ctx, ctx_names,
     (format-features.js getPlaceName:53-63 pick the feature template
     over the source format; :80-112 is the templated render): layer-
     typed {{type.name}} / {{type.number}} placeholders filled from the
-    result chain, then the reference's artifact cleanup. None when the
-    feature authors no format (callers fall back to the config/source
-    format path)."""
+    result chain, then the reference's artifact cleanup. The template
+    for `language` is picked by config.format_for_language — exact
+    code, case-insensitive code, primary language, then the default
+    template; never the display-text fallback table. None when neither
+    the feature nor its source authors a usable format (callers fall
+    back to the config-level format path)."""
     fj = getattr(feature, "formats_json", "") or ""
     if fj:
         fmts = json.loads(fj)
@@ -2085,14 +2089,7 @@ def render_feature_format(index, feature, display, ctx, ctx_names,
         fmts = index.layer_formats.get(str(feature.layer))
         if not fmts:
             return None
-    tmpl = None
-    if language:
-        lbl = closest_lang_label(str(language).replace("-", "_"),
-                                 [k for k in fmts if k != "default"])
-        if lbl:
-            tmpl = fmts.get(lbl)
-    if tmpl is None:
-        tmpl = fmts.get("default")
+    tmpl = format_for_language(fmts, language)
     if not tmpl:
         return None
     ftype = index.layer_type.get(str(feature.layer), str(feature.layer))

@@ -93,12 +93,19 @@ def build_lang_map(parsed_ds) -> dict[str, int]:
 def layer_meta_from_config(config) -> dict | None:
     """layer → (idx, zoom) from the config's declaration ORDER, the way
     carmen numbers indexes by constructor order (index.js:96-123).
-    Declaration-order numbering kicks in when the config declares a
-    layer outside the built-in LAYER_IDX table (e.g. worldview-split
-    sources like country_wv_us); corpora over the standard layer names
-    keep their pinned idx, but an EXPLICIT per-layer zoom (carmen's
-    maxzoom meta — geocode-unit.scoredist runs an address source at
-    maxzoom 6) still overrides the built-in zoom."""
+
+    The built-in LAYER_IDX numbers are kept only when every declared
+    layer is in that table AND the declaration order agrees with it
+    (e.g. country, region, place, address). Otherwise — a layer outside
+    the table (worldview-split sources like country_wv_us), or standard
+    layers declared out of canonical order (postcode before place) —
+    layers are numbered 0, 1, 2, … in declaration order, so a coarser-
+    declared layer always carries the lower idx and stays in the
+    context of the layers declared after it. An EXPLICIT per-layer zoom
+    (carmen's maxzoom meta — geocode-unit.scoredist runs an address
+    source at maxzoom 6) overrides the built-in zoom either way. None
+    when the config declares no layers, or keeps both the built-in
+    numbers and the built-in zooms (the pinned default path)."""
     layers = getattr(config, "layers", None) if config is not None else None
     if not layers:
         return None
@@ -107,7 +114,8 @@ def layer_meta_from_config(config) -> dict | None:
         z = getattr(lc, "zoom", None)
         return int(z) if z is not None else LAYER_ZOOM.get(name, 6)
 
-    if all(name in LAYER_IDX for name in layers):
+    builtin = [LAYER_IDX.get(name) for name in layers]
+    if None not in builtin and builtin == sorted(builtin):
         meta = {name: (LAYER_IDX[name], _zoom(name, lc))
                 for name, lc in layers.items()}
         if all(z == LAYER_ZOOM.get(n, 6) for n, (_, z) in meta.items()):
